@@ -21,6 +21,7 @@ magic numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -86,10 +87,11 @@ class StageConfig:
                 f"stage {self.name!r}: decimation must be >= 1, "
                 f"got {self.decimation}"
             )
-        if self.input_rate_hz <= 0:
+        # NaN fails every comparison, so the bound is stated positively.
+        if not (math.isfinite(self.input_rate_hz) and self.input_rate_hz > 0):
             raise ConfigurationError(
-                f"stage {self.name!r}: input rate must be positive, "
-                f"got {self.input_rate_hz}"
+                f"stage {self.name!r}: input rate must be finite and "
+                f"positive, got {self.input_rate_hz}"
             )
 
     @property
@@ -139,9 +141,10 @@ class DDCConfig:
                 raise ConfigurationError(
                     f"{label} must be a non-negative integer, got {value!r}"
                 )
-        if self.input_rate_hz <= 0:
+        if not (math.isfinite(self.input_rate_hz) and self.input_rate_hz > 0):
             raise ConfigurationError(
-                f"input_rate_hz must be positive, got {self.input_rate_hz}"
+                "input_rate_hz must be finite and positive, got "
+                f"{self.input_rate_hz}"
             )
         if abs(self.nco_frequency_hz) > self.input_rate_hz / 2:
             raise ConfigurationError(

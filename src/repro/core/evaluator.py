@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, fields
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .. import telemetry
 from ..archs.base import (
@@ -550,24 +550,6 @@ class DDCEvaluator:
             self.report_batches(configs), configs, standby_fraction, strict
         )
 
-    def scenario_candidate_outcomes_batch(
-        self,
-        configs: Sequence[DDCConfig],
-        standby_fraction: float = 0.05,
-    ) -> list[tuple[list[ScenarioCandidate] | None, Exception | None]]:
-        """Batched tolerant candidate evaluation over a configuration axis.
-
-        The public one-call entry the Monte-Carlo population engine rides:
-        one ``implement_batch`` per model over the *distinct* configs,
-        then the error-channel candidate builder
-        (:meth:`scenario_candidate_outcomes_from_batches`), so a million
-        sampled users cost only as many model evaluations as there are
-        distinct configurations.
-        """
-        return self.scenario_candidate_outcomes_from_batches(
-            self.report_batches(configs), configs, standby_fraction
-        )
-
     def scenario_candidates_from_batches(
         self,
         batches: Sequence[BatchImplementationReport],
@@ -582,20 +564,12 @@ class DDCEvaluator:
         can evaluate each model once and build both views from it.
         """
         out: list[list[ScenarioCandidate]] = []
-        for i, config in enumerate(configs):
-            candidates = []
-            for batch in batches:
-                error = batch.errors[i]
-                if error is not None:
-                    if strict:
-                        raise error
-                    continue
-                report = batch.reports[i]
-                assert report is not None
-                if not report.feasible:
-                    continue
-                candidates.append(self._candidate(report, standby_fraction))
-            out.append(self._require_candidates(candidates, config))
+        for candidates, error in self._candidate_outcomes(
+            batches, configs, standby_fraction, strict
+        ):
+            if error is not None:
+                raise error
+            out.append(candidates)
         return out
 
     def scenario_candidate_outcomes_from_batches(
@@ -606,33 +580,55 @@ class DDCEvaluator:
     ) -> list[tuple[list[ScenarioCandidate] | None, Exception | None]]:
         """Per-config candidate lists with a captured error channel.
 
-        The fault-tolerant twin of :meth:`scenario_candidates_from_batches`
+        The candidate path of the sweep, explore and population engines
         (``strict=False`` semantics): models that cannot map a
         configuration drop out silently, and a configuration that yields
         *no* feasible candidate produces ``(None, error)`` instead of
         raising — so one poisoned grid cell cannot abort a whole
-        ``on_error="skip"``/``"retry"`` sweep or exploration.  Exactly
-        one element of each tuple is non-``None``; successful entries
-        are bit-identical to the strict path's.
+        ``on_error="skip"``/``"retry"`` run, while ``on_error="raise"``
+        raises the first recorded error.  Exactly one element of each
+        tuple is non-``None``; successful entries are bit-identical to
+        :meth:`scenario_candidates_from_batches`.
         """
-        out: list[tuple[list[ScenarioCandidate] | None, Exception | None]] = []
+        return list(
+            self._candidate_outcomes(
+                batches, configs, standby_fraction, strict=False
+            )
+        )
+
+    def _candidate_outcomes(
+        self,
+        batches: Sequence[BatchImplementationReport],
+        configs: Sequence[DDCConfig],
+        standby_fraction: float,
+        strict: bool,
+    ) -> Iterator[tuple[list[ScenarioCandidate] | None, Exception | None]]:
+        """The one per-config candidate loop behind both batch views.
+
+        Lazy, so the raising view stops at the first failing config.
+        ``strict`` makes a model's mapping error the config's outcome;
+        otherwise that model drops out.
+        """
         for i, config in enumerate(configs):
             candidates = []
+            error = None
             for batch in batches:
                 if batch.errors[i] is not None:
+                    if strict:
+                        error = batch.errors[i]
+                        break
                     continue
                 report = batch.reports[i]
                 assert report is not None
                 if not report.feasible:
                     continue
                 candidates.append(self._candidate(report, standby_fraction))
-            try:
-                out.append(
-                    (self._require_candidates(candidates, config), None)
-                )
-            except ConfigurationError as exc:
-                out.append((None, exc))
-        return out
+            if error is None:
+                try:
+                    self._require_candidates(candidates, config)
+                except ConfigurationError as exc:
+                    error = exc
+            yield (None, error) if error is not None else (candidates, None)
 
     def scenario_analysis(
         self, config: DDCConfig = REFERENCE_DDC,
@@ -647,9 +643,3 @@ class DDCEvaluator:
         return ScenarioAnalysis(
             self.scenario_candidates_batch([config], standby_fraction)[0]
         )
-
-
-#: The evaluator is workload-agnostic — nothing in it is DDC-specific
-#: beyond the default ``models=None`` fallback — so the workload layer
-#: (:mod:`repro.workloads`) addresses it under the generic name.
-WorkloadEvaluator = DDCEvaluator

@@ -7,24 +7,18 @@ report cache from (and spills it back to) an on-disk store so repeated
 explorations across processes skip re-running the models; ``--verify``
 runs the adaptive engine *and* the dense scalar oracle, requires their
 reports byte-identical, and reports the measured speedup and how few
-cells the adaptive engine actually evaluated.
+cells the adaptive engine actually evaluated.  Shared flags, verify and
+exit codes: :mod:`repro.cli`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
+from ..cli import Frontend, parse_axis, split_names
 from ..core.evaluator import ReportCache
-from ..errors import ConfigurationError, ReproError
-from ..telemetry import tracing
-from ..telemetry.cli import (
-    add_telemetry_args,
-    cache_counts,
-    cache_stats_line,
-    print_metrics,
-)
+from ..errors import ConfigurationError
 from ..workloads import get as get_workload
 from .refine import run_explore
 from .report import FORMATS
@@ -48,157 +42,93 @@ def _parse_axis(text: str) -> tuple[str, float, float]:
         ) from None
 
 
-def _parse_discrete(text: str) -> tuple[str, tuple]:
-    """``name=v1,v2,...`` — the sweep CLI's axis grammar, shared."""
-    from ..sweep.__main__ import _parse_axis as parse_value_axis
+class ExploreCLI(Frontend):
+    prog = "python -m repro.explore"
+    description = (
+        "Design-space exploration: Pareto frontiers over configuration "
+        "axes with adaptive refinement."
+    )
+    verb = "explore"
+    unit = "cell"
+    engines = ("adaptive", "dense")
+    pair = "adaptive and dense-oracle frontier"
+    formats = FORMATS
 
-    return parse_value_axis(text, flag="--discrete-axis")
-
-
-def build_spec(args: argparse.Namespace) -> ExploreSpec:
-    """Translate parsed CLI arguments into an ExploreSpec."""
-    kwargs: dict = {}
-    if args.axis:
-        kwargs["axis"] = _parse_axis(args.axis)
-    if args.architectures:
-        kwargs["architectures"] = tuple(
-            a.strip() for a in args.architectures.split(",") if a.strip()
+    def add_arguments(self, parser: argparse.ArgumentParser) -> None:
+        parser.add_argument(
+            "--axis", default=None, metavar="FIELD=LO:HI",
+            help="continuous refinement axis (default: the workload's "
+            "reference axis; for ddc, input_rate_hz over the reference "
+            "space)",
         )
-    if args.objectives:
-        kwargs["objectives"] = tuple(
-            o.strip() for o in args.objectives.split(",") if o.strip()
+        parser.add_argument(
+            "--coarse", type=int, default=5,
+            help="initial coarse grid size (default: %(default)s)",
         )
-    return ExploreSpec(
-        coarse_steps=args.coarse,
-        target_steps=args.target,
-        discrete_axes=tuple(
-            _parse_discrete(a) for a in args.discrete_axis
-        ),
-        duty_cycle_steps=args.steps,
-        standby_fraction=args.standby_fraction,
-        probe_points=args.probes,
-        seed=args.seed,
-        max_evaluations=args.budget,
-        on_error=args.on_error,
-        workload=args.workload,
-        **kwargs,
-    )
+        parser.add_argument(
+            "--target", type=int, default=65,
+            help="target axis resolution; (target-1) must be "
+            "(coarse-1)*2^k (default: %(default)s)",
+        )
+        parser.add_argument(
+            "--discrete-axis", action="append", default=[],
+            metavar="FIELD=V1,V2,...",
+            help="add a discrete DDCConfig axis (repeatable)",
+        )
+        parser.add_argument(
+            "--steps", type=int, default=101,
+            help="duty-cycle grid size over [0, 1] (default: %(default)s)",
+        )
+        parser.add_argument(
+            "--objectives", default=None, metavar="NAME,NAME,...",
+            help="Pareto objectives (default: power_w,area_mm2)",
+        )
+        parser.add_argument(
+            "--architectures", default=None, metavar="NAME,NAME,...",
+            help="restrict candidates to these architecture names",
+        )
+        parser.add_argument(
+            "--probes", type=int, default=0,
+            help="extra seeded round-0 probe cells (default: %(default)s)",
+        )
+        parser.add_argument(
+            "--seed", type=int, default=0,
+            help="probe-draw seed (default: %(default)s)",
+        )
+        parser.add_argument(
+            "--budget", type=int, default=None,
+            help="max evaluated cells per discrete point (default: none)",
+        )
+        parser.add_argument(
+            "--store", default=None, metavar="PATH",
+            help="on-disk report store: warm-start the report cache from "
+            "it and spill the cache (plus this frontier) back after the run",
+        )
 
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.explore",
-        description="Design-space exploration: Pareto frontiers over "
-        "configuration axes with adaptive refinement.",
-    )
-    from ..workloads import available, default_name
-
-    parser.add_argument(
-        "--workload", default=default_name(), metavar="NAME",
-        help="workload to explore, one of: "
-        f"{', '.join(available())} (default: %(default)s, i.e. "
-        "$REPRO_WORKLOAD or ddc)",
-    )
-    parser.add_argument(
-        "--axis", default=None, metavar="FIELD=LO:HI",
-        help="continuous refinement axis (default: the workload's "
-        "reference axis; for ddc, input_rate_hz over the reference "
-        "space)",
-    )
-    parser.add_argument(
-        "--coarse", type=int, default=5,
-        help="initial coarse grid size (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--target", type=int, default=65,
-        help="target axis resolution; (target-1) must be (coarse-1)*2^k "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--discrete-axis", action="append", default=[],
-        metavar="FIELD=V1,V2,...",
-        help="add a discrete DDCConfig axis (repeatable)",
-    )
-    parser.add_argument(
-        "--steps", type=int, default=101,
-        help="duty-cycle grid size over [0, 1] (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--objectives", default=None, metavar="NAME,NAME,...",
-        help="Pareto objectives (default: power_w,area_mm2)",
-    )
-    parser.add_argument(
-        "--architectures", default=None, metavar="NAME,NAME,...",
-        help="restrict candidates to these architecture names",
-    )
-    parser.add_argument(
-        "--standby-fraction", type=float, default=0.05,
-        help="fixed-function idle power as a fraction of active power "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--probes", type=int, default=0,
-        help="extra seeded round-0 probe cells (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="probe-draw seed (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--budget", type=int, default=None,
-        help="max evaluated cells per discrete point (default: none)",
-    )
-    parser.add_argument(
-        "--on-error", choices=("raise", "skip", "retry"), default="raise",
-        help="cell-failure policy: raise = abort on the first failure, "
-        "skip = record it and continue, retry = retry the cell first and "
-        "record only if every attempt fails; a report with recorded "
-        "failures is marked partial and exits with status 3 "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--engine", choices=("adaptive", "dense"), default="adaptive",
-        help="evaluation path (dense = the scalar oracle grid; "
-        "default: %(default)s)",
-    )
-    parser.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="on-disk report store: warm-start the report cache from it "
-        "and spill the cache (plus this frontier) back after the run",
-    )
-    parser.add_argument(
-        "--format", choices=FORMATS, default="json",
-        help="report format (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--output", default="-", metavar="PATH",
-        help="report path, '-' = stdout (default: stdout)",
-    )
-    parser.add_argument(
-        "--summary", action="store_true",
-        help="print the human-readable frontier map instead of the report",
-    )
-    parser.add_argument(
-        "--verify", action="store_true",
-        help="run BOTH engines, require byte-identical reports, report "
-        "the measured speedup; exits 1 on any divergence",
-    )
-    add_telemetry_args(parser)
-    args = parser.parse_args(argv)
-
-    try:
-        with tracing(args.trace):
-            return _run(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _run(args: argparse.Namespace) -> int:
-    """The CLI body, inside the (possibly no-op) tracing context."""
-    spec = build_spec(args)
-    cache_before = cache_counts(spec.workload)
-    try:
+    def build_spec(self, args: argparse.Namespace) -> ExploreSpec:
+        kwargs: dict = {}
+        if args.axis:
+            kwargs["axis"] = _parse_axis(args.axis)
+        for name in ("architectures", "objectives"):
+            names = split_names(getattr(args, name))
+            if names is not None:
+                kwargs[name] = names
+        spec = ExploreSpec(
+            coarse_steps=args.coarse,
+            target_steps=args.target,
+            discrete_axes=tuple(
+                parse_axis(a, flag="--discrete-axis")
+                for a in args.discrete_axis
+            ),
+            duty_cycle_steps=args.steps,
+            standby_fraction=args.standby_fraction,
+            probe_points=args.probes,
+            seed=args.seed,
+            max_evaluations=args.budget,
+            on_error=args.on_error,
+            workload=args.workload,
+            **kwargs,
+        )
         if args.store and (args.verify or args.engine != "adaptive"):
             # Silently skipping persistence would strand the user's next
             # warm start; say so instead.
@@ -206,132 +136,88 @@ def _run(args: argparse.Namespace) -> int:
                 "--store needs the adaptive engine (the dense oracle and "
                 "--verify run deliberately uncached)"
             )
-        if args.verify:
-            # Fresh caches/evaluators per engine so the comparison (and
-            # the timing) is cold-start honest on both sides; warm the
-            # import paths first so neither pays first-call costs.
-            workload = get_workload(spec.workload)
-            warm = ExploreSpec(
-                axis=spec.axis, coarse_steps=2, target_steps=2,
-                duty_cycle_steps=2, workload=spec.workload,
-            )
-            run_explore(
-                warm, "adaptive", workload.evaluator(cache=ReportCache())
-            )
-            run_explore(warm, "dense", workload.evaluator())
-            t0 = time.perf_counter()
-            adaptive = run_explore(
-                spec, "adaptive", workload.evaluator(cache=ReportCache())
-            )
-            t_adaptive = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            dense = run_explore(spec, "dense", workload.evaluator())
-            t_dense = time.perf_counter() - t0
-            adaptive_bytes = adaptive.render(args.format).encode()
-            dense_bytes = dense.render(args.format).encode()
-            if adaptive_bytes != dense_bytes:
-                print(
-                    "VERIFY FAILED: adaptive and dense-oracle frontier "
-                    "reports differ",
-                    file=sys.stderr,
-                )
-                return 1
-            print(
-                f"verify OK: {len(adaptive_bytes)} bytes identical across "
-                f"engines ({spec.n_cells} cells at target resolution)"
-            )
-            print(
-                f"  adaptive evaluated {adaptive.evaluations}/"
-                f"{spec.n_cells} cells in {t_adaptive * 1e3:.2f} ms; "
-                f"dense oracle {dense.evaluations} cells in "
-                f"{t_dense * 1e3:.2f} ms; speedup "
-                f"{t_dense / t_adaptive:.1f}x"
-            )
-            if args.metrics:
-                print_metrics(cache_before, spec.workload)
-            return 0
+        return spec
 
-        store = ReportStore(args.store) if args.store else None
-        evaluator = None
-        if args.engine == "adaptive":
-            evaluator = get_workload(spec.workload).shared_evaluator()
-            if store is not None:
-                loaded = store.load(evaluator.cache, evaluator.models)
-                print(
-                    f"store: warm-started {loaded} report(s) from "
-                    f"{args.store}",
-                    file=sys.stderr,
-                )
-                if store.last_salvaged:
-                    print(
-                        f"store: salvaged a damaged store file — "
-                        f"{store.last_salvaged} bad line(s) quarantined "
-                        f"to {store.quarantine_path}",
-                        file=sys.stderr,
-                    )
-                checkpoint = store.load_checkpoint(spec, evaluator.models)
-                if checkpoint is not None:
-                    done = sum(
-                        len(cells) for cells in checkpoint["evaluated"]
-                    )
-                    print(
-                        f"store: resuming from checkpoint — round "
-                        f"{checkpoint['round']}, {done} cell(s) already "
-                        f"evaluated, {len(checkpoint['pending'])} pending",
-                        file=sys.stderr,
-                    )
-        report = run_explore(
-            spec, engine=args.engine, evaluator=evaluator, store=store
+    def run(self, spec, engine, **pool):
+        # Fresh caches/evaluators per engine so the verify comparison
+        # (and its timing) is cold-start honest on both sides.
+        workload = get_workload(spec.workload)
+        cache = ReportCache() if engine == "adaptive" else None
+        return run_explore(spec, engine, workload.evaluator(cache=cache))
+
+    def warm_spec(self, spec):
+        return ExploreSpec(
+            axis=spec.axis, coarse_steps=2, target_steps=2,
+            duty_cycle_steps=2, workload=spec.workload,
         )
-        if store is not None and evaluator is not None:
-            total = store.save(evaluator.cache)
-            store.save_frontier(
-                spec, evaluator.models, report.to_json_doc()
-            )
+
+    def verified(self, spec, fast, oracle) -> str:
+        return f"{spec.n_cells} cells at target resolution"
+
+    def timing(self, spec, fast, oracle) -> str:
+        return (
+            f"adaptive evaluated {fast.evaluations}/{spec.n_cells} cells "
+            f"in {{fast}} ms; dense oracle {oracle.evaluations} cells in "
+            "{oracle} ms; speedup {speedup}x"
+        )
+
+    def lost(self, report) -> str:
+        failed = sum(
+            1 for p in report.points for cell in p.cells if cell.failed
+        )
+        return f"{failed} cell(s) failed"
+
+    def execute(self, args, spec, before):
+        """The shared-evaluator run, warm-started from and spilled to
+        ``--store`` when given."""
+        if args.engine == "dense":
+            return run_explore(spec, engine="dense"), []
+        evaluator = get_workload(spec.workload).shared_evaluator()
+        if not args.store:
+            return run_explore(spec, evaluator=evaluator), []
+        store = ReportStore(args.store)
+        loaded = store.load(evaluator.cache, evaluator.models)
+        print(
+            f"store: warm-started {loaded} report(s) from {args.store}",
+            file=sys.stderr,
+        )
+        if store.last_salvaged:
             print(
-                f"store: spilled cache ({total} report(s)) and frontier "
-                f"to {args.store}",
+                "store: salvaged a damaged store file — "
+                f"{store.last_salvaged} bad line(s) quarantined "
+                f"to {store.quarantine_path}",
                 file=sys.stderr,
             )
-        warm_line = None
-        if evaluator is not None and store is not None:
-            hits = evaluator.cache.hits - cache_before[0]
-            misses = evaluator.cache.misses - cache_before[1]
-            lookups = hits + misses
-            if lookups:
-                warm_line = (
-                    f"store warm-hit rate: {hits / lookups:.1%} "
-                    f"({hits}/{lookups} lookups served without a model "
-                    f"run)"
-                )
-        if args.summary:
-            print(report.summary())
-            print(cache_stats_line(cache_before, spec.workload))
-            if warm_line:
-                print(warm_line)
-        else:
-            report.write(args.output, args.format)
-            if args.output != "-":
-                print(f"wrote {args.output}")
-        if args.metrics:
-            print_metrics(
-                cache_before, spec.workload,
-                extra=[warm_line] if warm_line else None,
-            )
-        if report.partial:
-            failed = sum(
-                1 for p in report.points for cell in p.cells if cell.failed
-            )
+        checkpoint = store.load_checkpoint(spec, evaluator.models)
+        if checkpoint is not None:
+            done = sum(len(cells) for cells in checkpoint["evaluated"])
             print(
-                f"warning: partial report — {failed} cell(s) failed "
-                f"under --on-error {spec.on_error}",
+                "store: resuming from checkpoint — round "
+                f"{checkpoint['round']}, {done} cell(s) already "
+                f"evaluated, {len(checkpoint['pending'])} pending",
                 file=sys.stderr,
             )
-            return 3
-        return 0
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        report = run_explore(spec, evaluator=evaluator, store=store)
+        total = store.save(evaluator.cache)
+        store.save_frontier(spec, evaluator.models, report.to_json_doc())
+        print(
+            f"store: spilled cache ({total} report(s)) and frontier "
+            f"to {args.store}",
+            file=sys.stderr,
+        )
+        hits = evaluator.cache.hits - before[0]
+        misses = evaluator.cache.misses - before[1]
+        lookups = hits + misses
+        if not lookups:
+            return report, []
+        return report, [
+            f"store warm-hit rate: {hits / lookups:.1%} "
+            f"({hits}/{lookups} lookups served without a model run)"
+        ]
+
+
+def main(argv: list[str] | None = None) -> int:
+    return ExploreCLI().main(argv)
 
 
 if __name__ == "__main__":

@@ -18,8 +18,9 @@ objectives, and the duty-cycle winner map.
   Every round is **one batched model pass**: all newly requested cells
   across every discrete point go through
   :meth:`~repro.core.evaluator.DDCEvaluator.report_batches` /
-  ``scenario_candidates_batch`` together, and the frontier masks come
-  from one vectorised dominance broadcast over the batch arrays.
+  ``scenario_candidate_outcomes_from_batches`` together, and the
+  frontier masks come from one vectorised dominance broadcast over the
+  batch arrays.
 
 On spaces whose outcomes flip at most once between adjacent coarse
 points — which holds for the monotone feasibility/power structure of the
@@ -38,9 +39,14 @@ from .. import telemetry
 from ..config import DDCConfig
 from ..core.evaluator import DDCEvaluator
 from ..energy.scenarios import ScenarioAnalysis
-from ..errors import ConfigurationError, MappingError, PartialResultError
+from ..errors import ConfigurationError, MappingError
 from ..faults import fault_point
-from ..resilience import DEFAULT_RETRY, call_with_retry, failure_cause
+from ..resilience import (
+    check_engine,
+    check_not_all_failed,
+    failure_cause,
+    run_guarded,
+)
 from ..sweep.engine import (
     duty_cycle_grid,
     scalar_winner_regions,
@@ -269,13 +275,6 @@ def _cell_from_doc(doc: list) -> _CellData:
     return outcome, snapshot
 
 
-def _check_engine(engine: str) -> None:
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown explore engine {engine!r}; expected one of {ENGINES}"
-        )
-
-
 def _failed_outcome(index: int, value: float, exc: Exception) -> CellOutcome:
     """The recorded-failure sentinel outcome for one cell."""
     cause = failure_cause(exc)
@@ -290,32 +289,25 @@ def _failed_outcome(index: int, value: float, exc: Exception) -> CellOutcome:
     )
 
 
-def _tolerant_cell(
+def _guarded_cell(
     spec: ExploreSpec, index: int, value: float, key: Any, build
 ) -> CellOutcome:
     """Run one cell's outcome builder under the spec's failure policy.
 
     ``build`` is a zero-argument callable producing the
     :class:`CellOutcome` (it contains the cell's fault site, so a retry
-    re-visits it).  ``"raise"`` propagates, ``"retry"`` retries under
-    :data:`~repro.resilience.DEFAULT_RETRY`, and any recorded failure
-    becomes a :func:`_failed_outcome` sentinel.
+    re-visits it); a recorded failure becomes a :func:`_failed_outcome`
+    sentinel.
 
     Both engines funnel through here, so the ``explore.cell`` span (the
     fault site's name) covers every cell evaluation exactly once,
     retries included.
     """
     with telemetry.span("explore.cell", key=key):
-        if spec.on_error == "raise":
-            return build()
-        try:
-            if spec.on_error == "retry":
-                return call_with_retry(
-                    build, DEFAULT_RETRY, label=f"explore cell {key}"
-                )
-            return build()
-        except Exception as exc:  # noqa: BLE001 — the error channel records
-            return _failed_outcome(index, value, exc)
+        out = run_guarded(build, spec.on_error, f"explore cell {key}")
+    if isinstance(out, Exception):
+        return _failed_outcome(index, value, out)
+    return out
 
 
 # ------------------------------------------------------------ batched cells
@@ -324,7 +316,7 @@ def _evaluate_cells_batch(
     spec: ExploreSpec,
     indices: Sequence[int],
     configs: Sequence[DDCConfig],
-    keys: Sequence[Any] | None = None,
+    keys: Sequence[Any],
 ) -> list[_CellData]:
     """Evaluate a round of cells in one batched model pass.
 
@@ -334,24 +326,19 @@ def _evaluate_cells_batch(
     outcome, so a recorded failure never loses the model numbers.
     """
     batches = evaluator.report_batches(configs)
-    tolerant = spec.on_error != "raise"
-    if tolerant:
-        outcomes = evaluator.scenario_candidate_outcomes_from_batches(
-            batches, configs, spec.standby_fraction
-        )
-    else:
-        outcomes = [
-            (candidates, None)
-            for candidates in evaluator.scenario_candidates_from_batches(
-                batches, configs, spec.standby_fraction, strict=False
-            )
-        ]
+    outcomes = evaluator.scenario_candidate_outcomes_from_batches(
+        batches, configs, spec.standby_fraction
+    )
+    if spec.on_error == "raise":
+        for _, error in outcomes:
+            if error is not None:
+                raise error
     wanted = set(spec.architectures) if spec.architectures else None
     masks = frontier_from_batches(batches, spec.objectives, wanted)
     labels = [b.architecture for b in batches]
     out: list[_CellData] = []
     for i, index in enumerate(indices):
-        key = keys[i] if keys is not None else index
+        key = keys[i]
         value = spec.value_at(index)
         candidates_i, error_i = outcomes[i]
         frontier = tuple(
@@ -377,7 +364,7 @@ def _evaluate_cells_batch(
                 winning_regions=tuple(grid.winning_regions()),
             )
 
-        outcome = _tolerant_cell(spec, index, value, key, build)
+        outcome = _guarded_cell(spec, index, value, key, build)
         archs = tuple(
             ArchSnapshot(
                 name=labels[j],
@@ -412,7 +399,7 @@ def _evaluate_cell_scalar(
     spec: ExploreSpec,
     index: int,
     config: DDCConfig,
-    key: Any = None,
+    key: Any,
 ) -> _CellData:
     """One cell through the seed-shaped scalar paths (the oracle).
 
@@ -428,8 +415,6 @@ def _evaluate_cell_scalar(
     wanted = set(spec.architectures) if spec.architectures else None
     mask = frontier_scalar(reports, spec.objectives, wanted)
     value = spec.value_at(index)
-    if key is None:
-        key = index
 
     def build() -> CellOutcome:
         fault_point("explore.cell", key=key)
@@ -459,7 +444,7 @@ def _evaluate_cell_scalar(
             ),
         )
 
-    outcome = _tolerant_cell(spec, index, value, key, build)
+    outcome = _guarded_cell(spec, index, value, key, build)
     archs = tuple(
         ArchSnapshot(
             name=labels[j],
@@ -503,7 +488,7 @@ def run_explore(
     """
     from .report import ExploreReport
 
-    _check_engine(engine)
+    check_engine("explore", engine, ENGINES)
     if store is not None and engine != "adaptive":
         raise ConfigurationError(
             "checkpoint/resume (store=) needs the adaptive engine"
@@ -660,13 +645,9 @@ def run_explore(
 def _check_not_all_failed(
     spec: ExploreSpec, results: "list[PointExploration]"
 ) -> None:
-    """An exploration where *every* cell failed helps nobody — raise."""
-    if spec.on_error == "raise":
-        return
-    if all(cell.failed for p in results for cell in p.cells):
-        first = results[0].cells[0].error
-        raise PartialResultError(
-            f"all {sum(len(p.cells) for p in results)} explore cell(s) "
-            f"failed under on_error={spec.on_error!r}; first error: "
-            f"{first[0]}: {first[1]}"
-        )
+    check_not_all_failed(
+        any(not cell.failed for p in results for cell in p.cells),
+        f"{sum(len(p.cells) for p in results)} explore cell(s) failed",
+        spec.on_error,
+        lambda: results[0].cells[0].error,
+    )

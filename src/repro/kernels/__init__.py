@@ -5,22 +5,19 @@ Public surface:
 - :func:`resolve` / :func:`kernel` / :func:`register` — the dispatch
   layer (see :mod:`repro.kernels.dispatch` for the selection rules and
   the ``REPRO_KERNELS`` environment variable);
-- :mod:`repro.kernels.fused` — restructured single-pass numpy kernels,
-  always available;
-- :mod:`repro.kernels.jit` — optional numba kernels behind a guarded
-  import (``jit.HAVE_NUMBA``), degrading gracefully to ``fused``;
+- :mod:`repro.kernels.fused` — restructured single-pass numpy kernels;
 - :mod:`repro.kernels.simloop` — the code-generated ``Simulator.step``
   latch loop.
 
-Importing this package registers every tier; the hot classes
+Importing this package registers the fused tier; the hot classes
 (``NCO``, ``FixedCICDecimator``, ``FixedPolyphaseDecimator``,
 ``FixedDDC``, ``Simulator``) dispatch through it via their ``engine=``
-keywords, defaulting to the fastest registered tier.
+keywords, defaulting to ``fused``.
 """
 
 from __future__ import annotations
 
-from . import fused, jit, simloop  # noqa: F401  (registration side effects)
+from . import fused, simloop  # noqa: F401  (registration side effects)
 from .dispatch import ENGINES, ENV_VAR, kernel, register, registered, resolve
 
 __all__ = [
@@ -31,6 +28,5 @@ __all__ = [
     "registered",
     "resolve",
     "fused",
-    "jit",
     "simloop",
 ]

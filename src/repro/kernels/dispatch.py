@@ -1,20 +1,14 @@
 """Kernel registry and engine dispatch for the hot DSP primitives.
 
 The streaming front end (NCO, CIC, FIR, the fused ``FixedDDC`` chain and
-the ``Simulator`` latch loop) ships up to three implementations per
-primitive:
+the ``Simulator`` latch loop) ships two implementations per primitive:
 
 ``python``
     The original, line-for-line oracle — the bit-true reference every
     other tier is pinned against.
 ``fused``
     A restructured single-pass numpy kernel: no per-call staging copies,
-    no dtype churn, wrapping hoisted out of the per-stage loop.  Always
-    available.
-``jit``
-    Optional :mod:`numba` ``@njit`` kernels.  Numba is *never* a hard
-    dependency: when it is not importable the ``jit`` tier silently
-    degrades to ``fused`` (see :func:`resolve`).
+    no dtype churn, wrapping hoisted out of the per-stage loop.
 
 Selection:
 
@@ -24,10 +18,8 @@ Selection:
 - globally, via the ``REPRO_KERNELS`` environment variable.  The value
   is either one engine name (``REPRO_KERNELS=python``) or a
   comma-separated list of ``primitive=engine`` overrides with an
-  optional bare default, e.g. ``REPRO_KERNELS=fused,cic=jit``;
-- by default (``auto``): the fastest registered tier — ``jit`` when
-  numba is importable and a jit kernel is registered, else ``fused``,
-  else ``python``.
+  optional bare default, e.g. ``REPRO_KERNELS=fused,cic=python``;
+- by default (``auto``): ``fused`` where registered, else ``python``.
 
 Every tier of one primitive is bit-identical by contract (pinned by the
 Hypothesis suites in ``tests/test_kernels.py``), so dispatch is a pure
@@ -46,7 +38,7 @@ from ..errors import ConfigurationError
 ENV_VAR = "REPRO_KERNELS"
 
 #: Engine tiers, slowest to fastest.
-ENGINES = ("python", "fused", "jit")
+ENGINES = ("python", "fused")
 
 #: Recognised selector values (``auto`` resolves to the fastest tier).
 SELECTORS = ENGINES + ("auto",)
@@ -61,7 +53,7 @@ def register(primitive: str, engine: str, fn: Callable) -> Callable:
     """Register ``fn`` as the ``engine`` tier of ``primitive``.
 
     Returns ``fn`` so it can be used as a decorator.  Re-registering
-    replaces the previous entry (used by the numba-absent fallback test).
+    replaces the previous entry.
     """
     if engine not in ENGINES:
         raise ConfigurationError(f"unknown kernel engine {engine!r}")
@@ -73,12 +65,6 @@ def registered(primitive: str) -> tuple[str, ...]:
     """Engine tiers registered for ``primitive`` (always incl. python)."""
     tiers = {"python", *_REGISTRY.get(primitive, ())}
     return tuple(e for e in ENGINES if e in tiers)
-
-
-def _jit_available(primitive: str) -> bool:
-    from . import jit
-
-    return jit.HAVE_NUMBA and "jit" in _REGISTRY.get(primitive, {})
 
 
 def _env_selector(primitive: str) -> str:
@@ -109,9 +95,8 @@ def resolve(primitive: str, engine: str | None = None) -> str:
     """Resolve the engine tier to run ``primitive`` on.
 
     ``engine=None`` consults :data:`ENV_VAR`; ``auto`` picks the fastest
-    registered tier; ``jit`` degrades gracefully to ``fused`` (and
-    ``fused`` to ``python``) when the faster tier is unavailable, so a
-    numba-free install accepts every selector.
+    registered tier; ``fused`` degrades to ``python`` for a primitive
+    with no fused kernel.
     """
     if engine is None:
         engine = _env_selector(primitive)
@@ -120,18 +105,9 @@ def resolve(primitive: str, engine: str | None = None) -> str:
             f"unknown kernel engine {engine!r} for {primitive!r} "
             f"(expected one of {', '.join(SELECTORS)})"
         )
-    tiers = _REGISTRY.get(primitive, {})
     if engine == "auto":
-        engine = (
-            "jit"
-            if _jit_available(primitive)
-            else "fused"
-            if "fused" in tiers
-            else "python"
-        )
-    elif engine == "jit" and not _jit_available(primitive):
         engine = "fused"
-    if engine == "fused" and "fused" not in tiers:
+    if engine == "fused" and "fused" not in _REGISTRY.get(primitive, {}):
         engine = "python"
     telemetry.counter("kernel.dispatch", primitive=primitive, engine=engine)
     return engine
@@ -140,11 +116,11 @@ def resolve(primitive: str, engine: str | None = None) -> str:
 def active_engines(engine: str | None = None) -> dict[str, str]:
     """The resolved tier per registered primitive, after degradation.
 
-    The introspection face of :func:`resolve`: the silent
-    ``jit`` → ``fused`` → ``python`` fallback is otherwise invisible, so
-    numba-absent CI legs (and ``--metrics`` CLI users) could not assert
-    which tier actually served a run.  ``engine`` follows the same
-    selector semantics as :func:`resolve` (``None`` = environment).
+    The introspection face of :func:`resolve`: the silent ``fused`` →
+    ``python`` fallback is otherwise invisible, so ``--metrics`` CLI
+    users could not tell which tier actually served a run.  ``engine``
+    follows the same selector semantics as :func:`resolve` (``None`` =
+    environment).
     """
     return {
         primitive: resolve(primitive, engine)

@@ -56,24 +56,22 @@ from ..energy.scenarios import (
     winner_counts,
 )
 from .. import telemetry
-from ..errors import ConfigurationError, PartialResultError
+from ..errors import ConfigurationError
 from ..faults import fault_point
 from ..parallel import parallel_map
-from ..resilience import DEFAULT_RETRY, call_with_retry, failure_cause
+from ..resilience import (
+    DEFAULT_RETRY,
+    check_engine,
+    check_not_all_failed,
+    failure_cause,
+    run_guarded,
+)
 from .spec import PopulationSpec
 
 ENGINES = ("vector", "scalar")
 
 #: Mixed-radix codes must fit int64 with headroom.
 _MAX_DISTINCT = 2**62
-
-
-def _check_engine(engine: str) -> None:
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; choose one of: "
-            + ", ".join(ENGINES)
-        )
 
 
 # --------------------------------------------------------------------------
@@ -270,18 +268,17 @@ def build_candidate_table(
         valid_rows.append(r)
         configs.append(config)
 
+    valid_configs = [configs[r] for r in valid_rows]
     if engine == "scalar":
         evaluator = wl.evaluator()
-        models = evaluator.models
-        valid_configs = [configs[r] for r in valid_rows]
         batches = [
-            model.implement_batch_scalar(valid_configs) for model in models
+            model.implement_batch_scalar(valid_configs)
+            for model in evaluator.models
         ]
     else:
         evaluator = wl.shared_evaluator()
-        models = evaluator.models
-        valid_configs = [configs[r] for r in valid_rows]
         batches = evaluator.report_batches(valid_configs)
+    models = evaluator.models
 
     m, n_arch = len(keys), len(models)
     active = np.full((m, n_arch), np.nan)
@@ -391,22 +388,14 @@ def _chunk_task(
             fault_point("montecarlo.chunk", key=index)
             return _chunk_pass(table, duty_bins, duty_c, inverse_c)
 
-    if on_error == "raise":
-        powers, counts = run()
-        return (index, start, powers, counts)
-    try:
-        if on_error == "retry":
-            powers, counts = call_with_retry(
-                run, DEFAULT_RETRY, label=f"montecarlo chunk {index}"
-            )
-        else:
-            powers, counts = run()
-    except Exception as exc:  # recorded, never silently swallowed
-        cause = failure_cause(exc)
+    out = run_guarded(run, on_error, f"montecarlo chunk {index}")
+    if isinstance(out, Exception):
+        cause = failure_cause(out)
         return ChunkFailure(
             index=index, start=start, stop=start + len(duty_c),
             error_type=type(cause).__name__, message=str(cause),
         )
+    powers, counts = out
     return (index, start, powers, counts)
 
 
@@ -533,7 +522,7 @@ def run_population(
     """
     from .report import build_report
 
-    _check_engine(engine)
+    check_engine("montecarlo", engine, ENGINES)
     duty, axis_indices = sample_population(spec)
     inverse, keys = dedup_axis_indices(spec, axis_indices)
     table, failures, _ = build_candidate_table(spec, keys, engine)
@@ -554,14 +543,14 @@ def run_population(
 
     # Every valid sample lands exactly one winner count, so the counts
     # total is the valid-sample total — no all-nan row scan needed.
-    n_valid = int(counts.sum())
-    if n_valid == 0:
-        first = failures[0] if failures else chunk_failures[0]
-        raise PartialResultError(
-            f"all {spec.n_samples} sampled users dropped under "
-            f"on_error={spec.on_error!r}; first error: "
-            f"{first.error_type}: {first.message}"
-        )
+    check_not_all_failed(
+        int(counts.sum()) > 0,
+        f"{spec.n_samples} sampled users dropped",
+        spec.on_error,
+        lambda: next(
+            (f.error_type, f.message) for f in (*failures, *chunk_failures)
+        ),
+    )
     return build_report(
         spec, table, powers, counts,
         failures=tuple(failures), chunk_failures=tuple(chunk_failures),

@@ -35,6 +35,7 @@ engine samples once up front and only *slices* per chunk.
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -527,9 +528,9 @@ class PopulationSpec:
                 f"standby_fraction {self.standby_fraction!r} is outside "
                 "[0, 1]"
             )
-        if self.battery_wh <= 0:
+        if not (math.isfinite(self.battery_wh) and self.battery_wh > 0):
             raise ConfigurationError(
-                f"battery_wh must be > 0, got {self.battery_wh!r}"
+                f"battery_wh must be finite and > 0, got {self.battery_wh!r}"
             )
         if len(self.percentiles) == 0:
             raise ConfigurationError("need at least one percentile")

@@ -3,8 +3,8 @@
 PRs 3-5 made the design-space stack fast; this module makes it survive
 production-scale operation: flaky tasks, wedged workers and dying
 processes must degrade or recover instead of throwing away a whole run.
-Two primitives live here, shared by :func:`repro.parallel.parallel_map`,
-the sweep engine and the design-space explorer:
+The primitives here are shared by :func:`repro.parallel.parallel_map`
+and the sweep, explore and montecarlo engines:
 
 - :class:`RetryPolicy` — a frozen, picklable description of *how* to
   retry: attempt budget, deterministic exponential backoff and an
@@ -16,8 +16,9 @@ the sweep engine and the design-space explorer:
   attempt counts, timestamps or backoff delays may enter a report's
   serialised output.
 - :data:`ON_ERROR_POLICIES` / :func:`check_on_error` — the shared
-  ``on_error`` vocabulary of :class:`~repro.sweep.spec.SweepSpec` and
-  :class:`~repro.explore.spec.ExploreSpec`:
+  ``on_error`` vocabulary of the sweep, explore and population specs,
+  which every engine applies through :func:`run_guarded` and closes with
+  :func:`check_not_all_failed`:
 
   - ``"raise"`` (default) — the strict mode: the first failing cell
     aborts the run, exactly the pre-resilience behaviour;
@@ -34,11 +35,12 @@ byte-identical to fault-free runs — the chaos suite in
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
-from .errors import ConfigurationError, TaskFailedError
+from .errors import ConfigurationError, PartialResultError, TaskFailedError
 
 R = TypeVar("R")
 
@@ -54,6 +56,14 @@ def check_on_error(policy: str) -> str:
             f"{ON_ERROR_POLICIES}"
         )
     return policy
+
+
+def check_engine(kind: str, engine: str, engines: tuple[str, ...]) -> None:
+    """Validate the ``engine=`` name of a ``kind`` run (sweep, explore, ...)."""
+    if engine not in engines:
+        raise ConfigurationError(
+            f"unknown {kind} engine {engine!r}; expected one of {engines}"
+        )
 
 
 @dataclass(frozen=True)
@@ -88,17 +98,24 @@ class RetryPolicy:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.backoff_s < 0.0:
+        # NaN fails every comparison, so each bound is stated positively.
+        if not (math.isfinite(self.backoff_s) and self.backoff_s >= 0.0):
             raise ConfigurationError(
-                f"backoff_s must be >= 0, got {self.backoff_s}"
+                f"backoff_s must be finite and >= 0, got {self.backoff_s}"
             )
-        if self.backoff_factor < 1.0:
+        if not (
+            math.isfinite(self.backoff_factor) and self.backoff_factor >= 1.0
+        ):
             raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
+                "backoff_factor must be finite and >= 1, got "
+                f"{self.backoff_factor}"
             )
-        if self.timeout_s is not None and self.timeout_s <= 0.0:
+        if self.timeout_s is not None and not (
+            math.isfinite(self.timeout_s) and self.timeout_s > 0.0
+        ):
             raise ConfigurationError(
-                f"timeout_s must be None or > 0, got {self.timeout_s}"
+                "timeout_s must be None or finite and > 0, got "
+                f"{self.timeout_s}"
             )
 
     def delay_s(self, failures: int) -> float:
@@ -153,6 +170,52 @@ def call_with_retry(
                 ) from exc
             sleep(policy.delay_s(attempt))
     raise AssertionError("unreachable")  # pragma: no cover
+
+
+def run_guarded(
+    fn: Callable[[], R], on_error: str, label: str
+) -> "R | Exception":
+    """Run ``fn()`` under an ``on_error`` policy (the engines' one ladder).
+
+    ``"raise"`` calls ``fn`` directly, so its error propagates;
+    ``"retry"`` calls it through :func:`call_with_retry` under
+    :data:`DEFAULT_RETRY`; ``"skip"`` calls it once.  Under the two
+    tolerant policies a failure is *returned*, not raised: the caller
+    records it on its error channel, reading the underlying error with
+    :func:`failure_cause` (and :func:`failure_attempts`).  ``fn`` never
+    returns an exception itself, so ``isinstance(out, Exception)`` tells
+    the two outcomes apart.
+    """
+    if on_error == "raise":
+        return fn()
+    try:
+        if on_error == "retry":
+            return call_with_retry(fn, DEFAULT_RETRY, label=label)
+        return fn()
+    except Exception as exc:  # noqa: BLE001 — the error channel records it
+        return exc
+
+
+def check_not_all_failed(
+    succeeded: bool,
+    failed: str,
+    on_error: str,
+    first_error: Callable[[], tuple[str, str]],
+) -> None:
+    """Raise :class:`~repro.errors.PartialResultError` if nothing succeeded.
+
+    A tolerant run whose every cell failed helps nobody.  ``failed``
+    states what was lost (``"3 sweep point(s) failed"``);
+    ``first_error`` returns the first recorded ``(type name, message)``
+    and is only called when the run is lost.
+    """
+    if succeeded:
+        return
+    error_type, message = first_error()
+    raise PartialResultError(
+        f"all {failed} under on_error={on_error!r}; first error: "
+        f"{error_type}: {message}"
+    )
 
 
 def failure_cause(exc: Exception) -> Exception:

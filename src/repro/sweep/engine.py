@@ -10,9 +10,9 @@ grid through the batched scenario APIs
 (:meth:`~repro.energy.scenarios.ScenarioAnalysis.evaluate_batch`,
 :func:`~repro.energy.scenarios.duty_cycle_crossover_batch`).
 :func:`run_sweep` goes one level further: the *entire configuration axis*
-is served by one ``scenario_candidates_batch`` call before any grid math
-runs, and the per-process :func:`~repro.core.evaluator.shared_evaluator`
-report cache amortises repeated configurations across sweeps.
+is served by one ``report_batches`` call before any grid math runs, and
+the per-process :func:`~repro.core.evaluator.shared_evaluator` report
+cache amortises repeated configurations across sweeps.
 
 ``engine="scalar"`` evaluates the same grid through the seed scalar path
 (per-point scalar ``implement`` model runs, one
@@ -47,14 +47,16 @@ from ..energy.scenarios import (
     duty_grid,
 )
 from .. import telemetry
-from ..errors import ConfigurationError, PartialResultError
+from ..errors import ConfigurationError
 from ..faults import fault_point
 from ..parallel import parallel_map
 from ..resilience import (
     DEFAULT_RETRY,
-    call_with_retry,
+    check_engine,
+    check_not_all_failed,
     failure_attempts,
     failure_cause,
+    run_guarded,
 )
 from .spec import SweepPoint, SweepSpec
 
@@ -198,13 +200,6 @@ def scalar_winner_regions(
     return regions
 
 
-def _check_engine(engine: str) -> None:
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown sweep engine {engine!r}; expected one of {ENGINES}"
-        )
-
-
 def _spec_workload(spec: SweepSpec):
     """Resolve the spec's workload through the per-process registry.
 
@@ -230,7 +225,7 @@ def point_candidates(
     point (e.g. the Montium off its reference schedule) drop out of the
     candidate set instead of aborting the whole sweep.
     """
-    _check_engine(engine)
+    check_engine("sweep", engine, ENGINES)
     config = spec.config_at(point)
     workload = _spec_workload(spec)
     if engine == "batch":
@@ -248,18 +243,10 @@ def evaluate_point(
     spec: SweepSpec, point: SweepPoint, engine: str = "batch"
 ) -> PointResult:
     """Evaluate one grid point (module-level: safe for process pools)."""
-    _check_engine(engine)
+    check_engine("sweep", engine, ENGINES)
     return _point_result(
         spec, point, point_candidates(spec, point, engine), engine
     )
-
-
-def _evaluate_prepared_point(
-    spec: SweepSpec, engine: str, item: tuple[SweepPoint, list]
-) -> PointResult:
-    """Grid math over pre-batched candidates (picklable pool task)."""
-    point, candidates = item
-    return _point_result(spec, point, candidates, engine)
 
 
 def _point_result(
@@ -337,48 +324,32 @@ def _point_grid(
     )
 
 
-def _evaluate_prepared_tolerant(
+def _guarded_point(
     spec: SweepSpec,
     engine: str,
     item: "tuple[SweepPoint, list | None, Exception | None]",
 ) -> "PointResult | PointFailure":
-    """Fault-tolerant grid math (pool task for ``on_error != "raise"``).
+    """One point under the spec's failure policy (picklable pool task).
 
-    ``item`` carries either the point's pre-batched candidates or the
-    candidate-phase error that already doomed it.  Candidate-phase errors
-    are deterministic model verdicts — retrying cannot change them — so
-    they are recorded directly; grid-math failures are retried under
-    :data:`~repro.resilience.DEFAULT_RETRY` when the policy says so.
+    ``item`` carries the point's pre-batched candidates (batch engine),
+    ``None`` (scalar engine: the candidates are built inside the guarded
+    call), or the candidate-phase error that already doomed the point.
+    Candidate-phase errors are deterministic model verdicts — retrying
+    cannot change them — so they are recorded directly.
     """
     point, candidates, error = item
-    if error is not None:
-        return _point_failure(point, error)
-    try:
-        if spec.on_error == "retry":
-            return call_with_retry(
-                lambda: _point_result(spec, point, candidates, engine),
-                DEFAULT_RETRY,
-                label=f"sweep point {point.index}",
+    if error is None:
+        if candidates is None:
+            run = functools.partial(evaluate_point, spec, point, engine)
+        else:
+            run = functools.partial(
+                _point_result, spec, point, candidates, engine
             )
-        return _point_result(spec, point, candidates, engine)
-    except Exception as exc:  # noqa: BLE001 — the error channel records it
-        return _point_failure(point, exc)
-
-
-def _evaluate_point_tolerant(
-    spec: SweepSpec, engine: str, point: SweepPoint
-) -> "PointResult | PointFailure":
-    """Fault-tolerant whole-point evaluation (scalar-engine pool task)."""
-    try:
-        if spec.on_error == "retry":
-            return call_with_retry(
-                lambda: evaluate_point(spec, point, engine),
-                DEFAULT_RETRY,
-                label=f"sweep point {point.index}",
-            )
-        return evaluate_point(spec, point, engine)
-    except Exception as exc:  # noqa: BLE001 — the error channel records it
-        return _point_failure(point, exc)
+        out = run_guarded(run, spec.on_error, f"sweep point {point.index}")
+        if not isinstance(out, Exception):
+            return out
+        error = out
+    return _point_failure(point, error)
 
 
 def run_sweep(
@@ -390,7 +361,7 @@ def run_sweep(
     """Execute the whole grid; returns a :class:`~repro.sweep.report.SweepReport`.
 
     With ``engine="batch"`` the whole configuration axis goes through
-    **one** ``scenario_candidates_batch`` pass (each architecture model's
+    **one** ``report_batches`` pass (each architecture model's
     ``implement_batch`` runs once over every point) before any grid math;
     ``workers``/``backend`` then fan the per-point duty-cycle grids out
     via :func:`repro.parallel.parallel_map` over picklable
@@ -412,85 +383,50 @@ def run_sweep(
     """
     from .report import SweepReport
 
-    _check_engine(engine)
+    check_engine("sweep", engine, ENGINES)
     points = spec.points()
     tolerant = spec.on_error != "raise"
-    pool_retry = DEFAULT_RETRY if spec.on_error == "retry" else None
     if engine == "batch":
         configs = [spec.config_at(p) for p in points]
-        per_point = _candidate_outcomes(spec, configs, tolerant)
-        if tolerant:
-            items = []
-            for point, (candidates, error) in zip(points, per_point):
-                if error is None:
-                    try:
-                        items.append((
-                            point,
-                            select_candidates(candidates, spec.architectures),
-                            None,
-                        ))
-                    except ConfigurationError as exc:
-                        items.append((point, None, exc))
-                else:
-                    items.append((point, None, error))
-            task = functools.partial(
-                _evaluate_prepared_tolerant, spec, engine
-            )
-            raw = parallel_map(
-                task, items, workers=workers, backend=backend,
-                retry=pool_retry,
-            )
-        else:
-            items = [
-                (point, select_candidates(candidates, spec.architectures))
-                for point, (candidates, _) in zip(points, per_point)
-            ]
-            task = functools.partial(_evaluate_prepared_point, spec, engine)
-            raw = parallel_map(
-                task, items, workers=workers, backend=backend
-            )
-    else:
-        if tolerant:
-            task = functools.partial(_evaluate_point_tolerant, spec, engine)
-        else:
-            task = functools.partial(evaluate_point, spec, engine=engine)
-        raw = parallel_map(
-            task, points, workers=workers, backend=backend,
-            retry=pool_retry,
+        ev = _spec_workload(spec).shared_evaluator()
+        outcomes = ev.scenario_candidate_outcomes_from_batches(
+            ev.report_batches(configs), configs, spec.standby_fraction
         )
+        if not tolerant:
+            # The first infeasible point aborts before any selection error.
+            for _, error in outcomes:
+                if error is not None:
+                    raise error
+        items = []
+        for point, (candidates, error) in zip(points, outcomes):
+            if error is None:
+                try:
+                    candidates = select_candidates(
+                        candidates, spec.architectures
+                    )
+                except ConfigurationError as exc:
+                    if not tolerant:
+                        raise
+                    candidates, error = None, exc
+            items.append((point, candidates, error))
+    else:
+        items = [(point, None, None) for point in points]
+    raw = parallel_map(
+        functools.partial(_guarded_point, spec, engine),
+        items,
+        workers=workers,
+        backend=backend,
+        retry=DEFAULT_RETRY if spec.on_error == "retry" else None,
+    )
     results = [r for r in raw if isinstance(r, PointResult)]
     failures = tuple(r for r in raw if isinstance(r, PointFailure))
-    if failures and not results:
-        raise PartialResultError(
-            f"all {len(failures)} sweep point(s) failed under "
-            f"on_error={spec.on_error!r}; first error: "
-            f"{failures[0].error_type}: {failures[0].message}"
-        )
+    check_not_all_failed(
+        bool(results),
+        f"{len(failures)} sweep point(s) failed",
+        spec.on_error,
+        lambda: (failures[0].error_type, failures[0].message),
+    )
     duty = tuple(float(d) for d in np.asarray(spec.duty_cycles()))
     return SweepReport(
         spec=spec, duty_cycles=duty, points=results, failures=failures
-    )
-
-
-def _candidate_outcomes(
-    spec: SweepSpec, configs: list, tolerant: bool
-) -> "list[tuple[list | None, Exception | None]]":
-    """Per-config ``(candidates, error)`` outcomes for the batch engine.
-
-    The strict path keeps the original single-shot
-    ``scenario_candidates_batch`` call (any model error aborts, as
-    before); the tolerant path captures per-config errors instead of
-    raising so one broken configuration cannot take the axis down.
-    """
-    ev = _spec_workload(spec).shared_evaluator()
-    if not tolerant:
-        return [
-            (candidates, None)
-            for candidates in ev.scenario_candidates_batch(
-                configs, spec.standby_fraction, strict=False
-            )
-        ]
-    batches = ev.report_batches(configs)
-    return ev.scenario_candidate_outcomes_from_batches(
-        batches, configs, spec.standby_fraction
     )

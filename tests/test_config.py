@@ -69,8 +69,9 @@ class TestValidation:
             DDCConfig(fir_taps=-1)
 
     def test_bad_rate(self):
-        with pytest.raises(ConfigurationError):
-            DDCConfig(input_rate_hz=0.0)
+        for rate in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="input_rate_hz"):
+                DDCConfig(input_rate_hz=rate)
 
     def test_bad_order(self):
         with pytest.raises(ConfigurationError):
@@ -79,8 +80,9 @@ class TestValidation:
     def test_stage_config_validation(self):
         with pytest.raises(ConfigurationError):
             StageConfig("x", 1e6, 0)
-        with pytest.raises(ConfigurationError):
-            StageConfig("x", -1e6, 2)
+        for rate in (-1e6, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="input rate"):
+                StageConfig("x", rate, 2)
 
     def test_stage_output_rate(self):
         s = StageConfig("x", 64.512e6, 16)

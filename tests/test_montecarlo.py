@@ -384,6 +384,11 @@ class TestCLI:
     def test_bad_distribution_is_a_clean_error(self, capsys):
         assert mc_main(["--duty", "nope(1)"]) == 2
         assert "error:" in capsys.readouterr().err
+        # A non-finite battery must not print nan battery-life columns.
+        for value in ("nan", "inf", "0"):
+            argv = ["--samples", "200", "--battery-wh", value]
+            assert mc_main(argv) == 2
+            assert "error: battery_wh" in capsys.readouterr().err
 
     def test_unbounded_duty_is_a_clean_error(self, capsys):
         assert mc_main(["--duty", "normal(0.5,0.2)"]) == 2

@@ -281,6 +281,11 @@ class TestRetryPolicy:
             RetryPolicy(backoff_s=-1.0)
         with pytest.raises(ConfigurationError):
             RetryPolicy(timeout_s=0.0)
+        # NaN fails every ordering comparison, so each bound must catch it.
+        for bad in (float("nan"), float("inf")):
+            for field in ("backoff_s", "backoff_factor", "timeout_s"):
+                with pytest.raises(ConfigurationError, match=field):
+                    RetryPolicy(**{field: bad})
 
     def test_serial_retry_recovers_and_records_backoff(self, tmp_path):
         from repro.faults import RecordingSleep

@@ -238,6 +238,11 @@ class TestCLI:
     def test_bad_axis_is_a_clean_error(self, capsys):
         assert sweep_main(["--axis", "nonsense"]) == 2
         assert "error:" in capsys.readouterr().err
+        # A non-finite rate must not yield a confident winner.
+        for value in ("nan", "inf"):
+            argv = ["--steps", "5", "--axis", f"input_rate_hz={value}"]
+            assert sweep_main(argv) == 2
+            assert "error: input_rate_hz" in capsys.readouterr().err
 
     def test_unknown_architecture_is_a_clean_error(self, capsys):
         assert sweep_main(
